@@ -2,10 +2,17 @@
 
 #include <cstring>
 
+#include "crypto/sha256_internal.h"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace elsm::crypto {
 namespace {
 
-constexpr uint32_t kK[64] = {
+alignas(16) constexpr uint32_t kK[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
     0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
@@ -20,24 +27,7 @@ constexpr uint32_t kK[64] = {
 
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
-}  // namespace
-
-Sha256::Sha256() { Reset(); }
-
-void Sha256::Reset() {
-  state_[0] = 0x6a09e667;
-  state_[1] = 0xbb67ae85;
-  state_[2] = 0x3c6ef372;
-  state_[3] = 0xa54ff53a;
-  state_[4] = 0x510e527f;
-  state_[5] = 0x9b05688c;
-  state_[6] = 0x1f83d9ab;
-  state_[7] = 0x5be0cd19;
-  bit_count_ = 0;
-  buffer_len_ = 0;
-}
-
-void Sha256::ProcessBlock(const uint8_t* block) {
+void ProcessBlock(uint32_t state[8], const uint8_t* block) {
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (uint32_t(block[i * 4]) << 24) | (uint32_t(block[i * 4 + 1]) << 16) |
@@ -51,8 +41,8 @@ void Sha256::ProcessBlock(const uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
@@ -71,14 +61,133 @@ void Sha256::ProcessBlock(const uint8_t* block) {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(__x86_64__)
+// The SHA-NI round instructions keep the working variables as two vectors,
+// ABEF and CDGH (lane 3 first). Each iteration of the inner loop performs
+// four rounds: it extends the message schedule by four words (msg1/msg2,
+// once the first 16 words are loaded) and runs two rnds2 steps. The inner
+// loop is fully unrolled so the rolling 4-vector schedule stays in registers;
+// the state stays in registers across all `nblocks` blocks.
+__attribute__((target("sha,sse4.1"))) void CompressShaNiImpl(
+    uint32_t state[8], const uint8_t* data, size_t nblocks) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i* k = reinterpret_cast<const __m128i*>(kK);
+
+  const __m128i dcba =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; nblocks > 0; --nblocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      __m128i& cur = w[i & 3];
+      if (i < 4) {
+        cur = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
+            byte_swap);
+      } else {
+        // cur holds W[t-16..t-13]; the result is W[t..t+3].
+        const __m128i prev = w[(i - 1) & 3];
+        cur = _mm_sha256msg1_epu32(cur, w[(i - 3) & 3]);
+        cur = _mm_add_epi32(cur, _mm_alignr_epi8(prev, w[(i - 2) & 3], 4));
+        cur = _mm_sha256msg2_epu32(cur, prev);
+      }
+      const __m128i wk = _mm_add_epi32(cur, _mm_load_si128(k + i));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool DetectShaNi() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+  if (!(ecx & bit_SSSE3) || !(ecx & bit_SSE4_1)) return false;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  return (ebx & bit_SHA) != 0;
+}
+#endif  // __x86_64__
+
+// Resolved on first call (a function-local static), so hashing during
+// another translation unit's static initialisation still dispatches
+// correctly.
+internal::Sha256CompressFn Compress() {
+  static const internal::Sha256CompressFn fn =
+      internal::Sha256ShaNiAvailable() ? internal::Sha256CompressShaNi
+                                       : internal::Sha256CompressScalar;
+  return fn;
+}
+
+}  // namespace
+
+namespace internal {
+
+void Sha256CompressScalar(uint32_t state[8], const uint8_t* data,
+                          size_t nblocks) {
+  for (; nblocks > 0; --nblocks, data += 64) ProcessBlock(state, data);
+}
+
+void Sha256CompressShaNi(uint32_t state[8], const uint8_t* data,
+                         size_t nblocks) {
+#if defined(__x86_64__)
+  CompressShaNiImpl(state, data, nblocks);
+#else
+  Sha256CompressScalar(state, data, nblocks);
+#endif
+}
+
+bool Sha256ShaNiAvailable() {
+#if defined(__x86_64__)
+  static const bool available = DetectShaNi();
+  return available;
+#else
+  return false;
+#endif
+}
+
+}  // namespace internal
+
+Sha256::Sha256() { Reset(); }
+
+void Sha256::Reset() {
+  state_[0] = 0x6a09e667;
+  state_[1] = 0xbb67ae85;
+  state_[2] = 0x3c6ef372;
+  state_[3] = 0xa54ff53a;
+  state_[4] = 0x510e527f;
+  state_[5] = 0x9b05688c;
+  state_[6] = 0x1f83d9ab;
+  state_[7] = 0x5be0cd19;
+  bit_count_ = 0;
+  buffer_len_ = 0;
 }
 
 void Sha256::Update(std::string_view data) { Update(data.data(), data.size()); }
@@ -95,14 +204,17 @@ void Sha256::Update(const void* data, size_t len) {
     p += take;
     len -= take;
     if (buffer_len_ == 64) {
-      ProcessBlock(buffer_);
+      Compress()(state_, buffer_, 1);
       buffer_len_ = 0;
     }
   }
-  while (len >= 64) {
-    ProcessBlock(p);
-    p += 64;
-    len -= 64;
+  if (len >= 64) {
+    // Every whole block in one call: the compress keeps its state in
+    // registers across the run.
+    const size_t nblocks = len / 64;
+    Compress()(state_, p, nblocks);
+    p += nblocks * 64;
+    len -= nblocks * 64;
   }
   if (len > 0) {
     std::memcpy(buffer_, p, len);
@@ -111,16 +223,18 @@ void Sha256::Update(const void* data, size_t len) {
 }
 
 Hash256 Sha256::Finalize() {
-  const uint64_t total_bits = bit_count_;
-  uint8_t pad[72];
-  pad[0] = 0x80;
-  // Pad to 56 mod 64, then the 64-bit big-endian bit count.
-  const size_t rem = (buffer_len_ + 1) % 64;
-  const size_t zeros = (rem <= 56) ? (56 - rem) : (56 + 64 - rem);
-  std::memset(pad + 1, 0, zeros);
-  size_t n = 1 + zeros;
-  for (int i = 7; i >= 0; --i) pad[n++] = uint8_t(total_bits >> (8 * i));
-  Update(pad, n);
+  // Pad the buffered tail in place: 0x80, zeros to 56 mod 64, then the
+  // 64-bit big-endian bit count. That is one block, or two when fewer than
+  // nine bytes of the last block are free.
+  uint8_t tail[128];
+  std::memcpy(tail, buffer_, buffer_len_);
+  tail[buffer_len_] = 0x80;
+  const size_t tail_len = buffer_len_ + 1 + 8 <= 64 ? 64 : 128;
+  std::memset(tail + buffer_len_ + 1, 0, tail_len - 8 - (buffer_len_ + 1));
+  for (int i = 0; i < 8; ++i) {
+    tail[tail_len - 1 - i] = uint8_t(bit_count_ >> (8 * i));
+  }
+  Compress()(state_, tail, tail_len / 64);
 
   Hash256 out;
   for (int i = 0; i < 8; ++i) {

@@ -1,5 +1,9 @@
 // From-scratch SHA-256 (FIPS 180-4) with an incremental interface.
 //
+// The compression function is chosen once per process: the x86 SHA
+// extensions (SHA-NI) when CPUID reports them, otherwise a portable scalar
+// one. Both produce the same digests (see crypto/sha256_internal.h).
+//
 // All integrity checks in the library hash real bytes through this
 // implementation; the enclave cost model separately *charges* simulated time
 // per hashed byte (see sgxsim/cost_model.h) so that benchmark numbers are
@@ -28,8 +32,6 @@ class Sha256 {
   static Hash256 Digest(std::string_view data);
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
   uint32_t state_[8];
   uint64_t bit_count_;
   uint8_t buffer_[64];

@@ -8,9 +8,12 @@
 #include <vector>
 
 #include "elsm/elsm_db.h"
+#include "test_strings.h"
 
 namespace elsm {
 namespace {
+
+using test_util::Numbered;
 
 Options ConcurrencyOptions() {
   Options o;
@@ -30,7 +33,7 @@ TEST(ConcurrencyTest, ParallelVerifiedReaders) {
   auto db = ElsmDb::Create(ConcurrencyOptions());
   ASSERT_TRUE(db.ok());
   for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(db.value()->Put(Key(i), "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(db.value()->Put(Key(i), Numbered("v", i)).ok());
   }
   ASSERT_TRUE(db.value()->CompactAll().ok());
 
@@ -42,7 +45,7 @@ TEST(ConcurrencyTest, ParallelVerifiedReaders) {
       for (int i = t; i < 500; i += 4) {
         auto got = db.value()->GetVerified(Key(i));
         if (!got.ok() || !got.value().record.has_value() ||
-            got.value().record->value != "v" + std::to_string(i)) {
+            got.value().record->value != Numbered("v", i)) {
           ++errors;
         }
       }
@@ -68,7 +71,7 @@ TEST(ConcurrencyTest, ReadersDuringWritesSeeConsistentValues) {
     // the engine's reader/writer lock must keep readers consistent.
     for (int round = 0; round < 10 && !stop; ++round) {
       for (int i = 0; i < 200; ++i) {
-        if (!db.value()->Put(Key(i), "round" + std::to_string(round)).ok()) {
+        if (!db.value()->Put(Key(i), Numbered("round", round)).ok()) {
           ++errors;
         }
       }

@@ -1,14 +1,21 @@
 // Unit tests for the crypto substrate: SHA-256 against FIPS/NIST vectors,
+// scalar/SHA-NI compress parity, digests pinned to the on-disk format,
 // HMAC-SHA256 against RFC 4231 vectors, cipher round-trips, hash chains.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <iterator>
 #include <string>
 
+#include "common/random.h"
 #include "crypto/cipher.h"
 #include "crypto/hash_chain.h"
 #include "crypto/hmac.h"
 #include "crypto/merkle.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_internal.h"
+#include "lsm/sstable.h"
 
 namespace elsm::crypto {
 namespace {
@@ -67,6 +74,154 @@ TEST(Sha256Test, ExactBlockBoundaryPadding) {
     Sha256 b;
     for (char c : data) b.Update(&c, 1);
     EXPECT_EQ(a.Finalize(), b.Finalize()) << n;
+  }
+}
+
+// SHA-256 over `data` through one compress function, with FIPS 180-4 padding
+// done here rather than by Sha256, so it also cross-checks Sha256's own
+// buffering and padding.
+Hash256 DigestWith(internal::Sha256CompressFn compress,
+                   std::string_view data) {
+  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  std::string padded(data);
+  padded.push_back('\x80');
+  while (padded.size() % 64 != 56) padded.push_back('\0');
+  const uint64_t bits = uint64_t(data.size()) * 8;
+  for (int i = 7; i >= 0; --i) padded.push_back(char(bits >> (8 * i)));
+  compress(state, reinterpret_cast<const uint8_t*>(padded.data()),
+           padded.size() / 64);
+  Hash256 out;
+  for (int i = 0; i < 8; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      out[i * 4 + j] = uint8_t(state[i] >> (24 - 8 * j));
+    }
+  }
+  return out;
+}
+
+std::string RandomBytes(Rng& rng, size_t n) {
+  std::string out(n, '\0');
+  for (char& c : out) c = char(rng.Next());
+  return out;
+}
+
+// Sha256 over `data`, fed in random-sized chunks (empty chunks included).
+Hash256 DigestInRandomChunks(Rng& rng, std::string_view data) {
+  Sha256 h;
+  size_t pos = 0;
+  while (pos < data.size()) {
+    const size_t take = std::min<size_t>(rng.Uniform(150), data.size() - pos);
+    h.Update(data.substr(pos, take));
+    pos += take;
+  }
+  return h.Finalize();
+}
+
+constexpr char kMillionAsHex[] =
+    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+
+TEST(Sha256ParityTest, ScalarMatchesSha256OnEveryLength) {
+  Rng rng(13);
+  for (size_t n = 0; n <= 1100; ++n) {
+    const std::string data = RandomBytes(rng, n);
+    const Hash256 want = DigestWith(internal::Sha256CompressScalar, data);
+    ASSERT_EQ(Sha256::Digest(data), want) << "len=" << n;
+    ASSERT_EQ(DigestInRandomChunks(rng, data), want) << "len=" << n;
+  }
+}
+
+TEST(Sha256ParityTest, ScalarMillionAsSingleUpdate) {
+  const std::string data(1000000, 'a');
+  EXPECT_EQ(ToHex(DigestWith(internal::Sha256CompressScalar, data)),
+            kMillionAsHex);
+  EXPECT_EQ(ToHex(Sha256::Digest(data)), kMillionAsHex);
+}
+
+TEST(Sha256ParityTest, ShaNiMatchesScalarOnEveryLength) {
+  if (!internal::Sha256ShaNiAvailable()) GTEST_SKIP() << "CPU lacks SHA-NI";
+  Rng rng(14);
+  for (size_t n = 0; n <= 1100; ++n) {
+    const std::string data = RandomBytes(rng, n);
+    ASSERT_EQ(DigestWith(internal::Sha256CompressShaNi, data),
+              DigestWith(internal::Sha256CompressScalar, data))
+        << "len=" << n;
+  }
+}
+
+TEST(Sha256ParityTest, ShaNiMatchesScalarFromArbitraryState) {
+  if (!internal::Sha256ShaNiAvailable()) GTEST_SKIP() << "CPU lacks SHA-NI";
+  Rng rng(15);
+  const std::string data = RandomBytes(rng, 64 * 70);
+  const auto* blocks = reinterpret_cast<const uint8_t*>(data.data());
+  for (size_t nblocks = 0; nblocks <= 70; ++nblocks) {
+    uint32_t scalar[8];
+    for (uint32_t& word : scalar) word = uint32_t(rng.Next());
+    uint32_t shani[8];
+    std::copy(std::begin(scalar), std::end(scalar), shani);
+    internal::Sha256CompressScalar(scalar, blocks, nblocks);
+    internal::Sha256CompressShaNi(shani, blocks, nblocks);
+    ASSERT_TRUE(std::equal(std::begin(scalar), std::end(scalar), shani))
+        << "nblocks=" << nblocks;
+  }
+}
+
+TEST(Sha256ParityTest, ShaNiMillionAsSingleUpdate) {
+  if (!internal::Sha256ShaNiAvailable()) GTEST_SKIP() << "CPU lacks SHA-NI";
+  EXPECT_EQ(ToHex(DigestWith(internal::Sha256CompressShaNi,
+                             std::string(1000000, 'a'))),
+            kMillionAsHex);
+}
+
+// The digests below are part of the on-disk and sealed formats (Merkle
+// nodes, hash chains, per-block MACs and digests). They were produced by
+// the scalar compress and must never change.
+TEST(Sha256PinnedTest, HashInterior) {
+  EXPECT_EQ(
+      ToHex(HashInterior(Sha256::Digest("left"), Sha256::Digest("right"))),
+            "09bda0c49344a4274d2202b56814924b5a20542fa05d321b5476b1cff86e4f1e");
+}
+
+TEST(Sha256PinnedTest, ChainLink) {
+  EXPECT_EQ(ToHex(ChainLink("record-core", Sha256::Digest("suffix"))),
+            "2cae559734f31d8e332fd86bdf3ce39951533018c106401eb91b440ea4b51577");
+}
+
+TEST(Sha256PinnedTest, HmacSha256) {
+  EXPECT_EQ(ToHex(HmacSha256("pinned-key", "pinned message")),
+            "e870ca434f0e7469d4fe9d1cf1a29febf3f5ceb66ed12c02016580a5e8a83c74");
+}
+
+TEST(Sha256PinnedTest, SSTableBlockHandles) {
+  lsm::SSTableBuilder builder(4096, "block-mac-key");
+  Rng rng(2021);
+  for (int i = 0; i < 120; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "key%06d", i);
+    lsm::Record r;
+    r.key = key;
+    r.value.resize(10 + rng.Uniform(190));
+    for (char& c : r.value) c = char('a' + rng.Uniform(26));
+    r.ts = uint64_t(i + 1);
+    builder.Add(r, "proof" + std::to_string(i));
+  }
+  lsm::FileMeta meta;
+  const std::string image = builder.Finish(&meta);
+  ASSERT_EQ(image.size(), 16063u);
+  ASSERT_EQ(meta.blocks.size(), 4u);
+  const char* kDigests[] = {
+      "925fc9901281099113141f266ed6d94d8bbd6fdc42a7db184c0abc72b50337d6",
+      "dffd479f1a99696d458be5636a4a9690c9ac8f8ce9ca122ffd5435228c7dc309",
+      "a70eecc41df5344a551fce821c1bd9f4e2a4adfb6114f2736aec493b9859c796",
+      "37de5df4266aefef8d3ae3ba6b157de8ac4fe683c90ff41bfe2d317eade4686d"};
+  const char* kMacs[] = {
+      "99d6deb87b355aac2631f801fcaf055209dbf9e1c145c37b5a714f7880ab6ca1",
+      "b4ef6237bf769fa10ba0070675b273cfe1ce4400090f0c60ad609aa73b178d07",
+      "f2446ba267b59ff9848c2a19ac1731346a33f271eb0cec61e4b03224e83f6932",
+      "35ab18b7a00c132a3c70d3bf708a4bc62a85e1196496313729d725cfb0aa6837"};
+  for (size_t i = 0; i < meta.blocks.size(); ++i) {
+    EXPECT_EQ(ToHex(meta.blocks[i].digest), kDigests[i]) << "block " << i;
+    EXPECT_EQ(ToHex(meta.blocks[i].mac), kMacs[i]) << "block " << i;
   }
 }
 

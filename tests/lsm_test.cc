@@ -14,9 +14,12 @@
 #include "lsm/sstable.h"
 #include "lsm/version.h"
 #include "storage/simfs.h"
+#include "test_strings.h"
 
 namespace elsm::lsm {
 namespace {
+
+using test_util::Numbered;
 
 std::shared_ptr<sgx::Enclave> MakeEnclave() {
   return std::make_shared<sgx::Enclave>(sgx::CostModel{}, true);
@@ -78,12 +81,12 @@ TEST(SkipListTest, InsertAndFindNewest) {
 TEST(SkipListTest, TimeTravelVisibility) {
   SkipList list;
   for (uint64_t ts = 1; ts <= 10; ++ts) {
-    list.Insert(MakeRecord("k", "v" + std::to_string(ts), ts));
+    list.Insert(MakeRecord("k", Numbered("v", ts), ts));
   }
   for (uint64_t ts = 1; ts <= 10; ++ts) {
     const Record* r = list.Find("k", ts);
     ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->value, "v" + std::to_string(ts));
+    EXPECT_EQ(r->value, Numbered("v", ts));
   }
   EXPECT_EQ(list.Find("k", 0), nullptr);
 }
@@ -92,7 +95,7 @@ TEST(SkipListTest, IteratorYieldsSortedOrder) {
   SkipList list;
   Rng rng(7);
   for (int i = 0; i < 500; ++i) {
-    list.Insert(MakeRecord("key" + std::to_string(rng.Uniform(100)), "v",
+    list.Insert(MakeRecord(Numbered("key", rng.Uniform(100)), "v",
                            uint64_t(i + 1)));
   }
   InternalKeyLess less;
@@ -117,18 +120,18 @@ TEST(SkipListTest, FindMissingKey) {
 
 TEST(BloomTest, NoFalseNegatives) {
   BloomFilter bloom(10, 2000);
-  for (int i = 0; i < 2000; ++i) bloom.Add("key" + std::to_string(i));
+  for (int i = 0; i < 2000; ++i) bloom.Add(Numbered("key", i));
   for (int i = 0; i < 2000; ++i) {
-    EXPECT_TRUE(bloom.MayContain("key" + std::to_string(i))) << i;
+    EXPECT_TRUE(bloom.MayContain(Numbered("key", i))) << i;
   }
 }
 
 TEST(BloomTest, LowFalsePositiveRate) {
   BloomFilter bloom(10, 2000);
-  for (int i = 0; i < 2000; ++i) bloom.Add("key" + std::to_string(i));
+  for (int i = 0; i < 2000; ++i) bloom.Add(Numbered("key", i));
   int fps = 0;
   for (int i = 0; i < 10000; ++i) {
-    if (bloom.MayContain("absent" + std::to_string(i))) ++fps;
+    if (bloom.MayContain(Numbered("absent", i))) ++fps;
   }
   EXPECT_LT(fps, 300);  // ~1% expected at 10 bits/key; generous bound
 }
@@ -140,11 +143,11 @@ TEST(BloomTest, EmptyFilterRejectsEverything) {
 
 TEST(BloomTest, EncodeDecodeRoundTrip) {
   BloomFilter bloom(10, 100);
-  for (int i = 0; i < 100; ++i) bloom.Add("k" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) bloom.Add(Numbered("k", i));
   BloomFilter decoded = BloomFilter::Decode(bloom.Encode());
   EXPECT_EQ(decoded.key_count(), bloom.key_count());
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(decoded.MayContain("k" + std::to_string(i)));
+    EXPECT_TRUE(decoded.MayContain(Numbered("k", i)));
   }
 }
 
@@ -153,8 +156,8 @@ TEST(SSTableTest, BuildAndParseBlocks) {
   for (int i = 0; i < 100; ++i) {
     char key[16];
     std::snprintf(key, sizeof(key), "k%04d", i);
-    builder.Add(MakeRecord(key, "value" + std::to_string(i), uint64_t(i + 1)),
-                "proof" + std::to_string(i));
+    builder.Add(MakeRecord(key, Numbered("value", i), uint64_t(i + 1)),
+                Numbered("proof", i));
   }
   FileMeta meta;
   const std::string image = builder.Finish(&meta);
@@ -326,7 +329,7 @@ TEST(EngineTest, RippleCompactionRespectsCapacities) {
   EngineHarness h;
   // Push enough data through flush+compact cycles to build several levels.
   for (int round = 0; round < 30; ++round) {
-    h.Fill(20, uint64_t(round) * 1000 + 1, ("r" + std::to_string(round)).c_str());
+    h.Fill(20, uint64_t(round) * 1000 + 1, (Numbered("r", round)).c_str());
     ASSERT_TRUE(h.engine.Flush().ok());
     ASSERT_TRUE(h.engine.MaybeCompact().ok());
   }

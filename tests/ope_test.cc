@@ -10,9 +10,12 @@
 #include "crypto/ope.h"
 #include "elsm/elsm_db.h"
 #include "storage/simfs.h"
+#include "test_strings.h"
 
 namespace elsm {
 namespace {
+
+using test_util::Numbered;
 
 TEST(OpeTest, RoundTripAssortedStrings) {
   crypto::OpeCipher ope("k");
@@ -86,7 +89,7 @@ TEST(OpeDbTest, VerifiedRangeQueriesOverEncryptedKeys) {
   for (int i = 0; i < 80; ++i) {
     char key[16];
     std::snprintf(key, sizeof(key), "k%05d", i);
-    ASSERT_TRUE(db.value()->Put(key, "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(db.value()->Put(key, Numbered("v", i)).ok());
   }
   ASSERT_TRUE(db.value()->Flush().ok());
 
@@ -130,16 +133,16 @@ TEST(WriteBatchTest, AtomicBatchApplies) {
 
   ElsmDb::WriteBatch batch;
   for (int i = 0; i < 50; ++i) {
-    batch.Put("batch" + std::to_string(i), "v" + std::to_string(i));
+    batch.Put(Numbered("batch", i), Numbered("v", i));
   }
   batch.Delete("stale");
   ASSERT_TRUE(db.value()->Write(batch).ok());
 
   for (int i = 0; i < 50; ++i) {
-    auto got = db.value()->Get("batch" + std::to_string(i));
+    auto got = db.value()->Get(Numbered("batch", i));
     ASSERT_TRUE(got.ok());
     ASSERT_TRUE(got.value().has_value());
-    EXPECT_EQ(*got.value(), "v" + std::to_string(i));
+    EXPECT_EQ(*got.value(), Numbered("v", i));
   }
   EXPECT_FALSE(db.value()->Get("stale").value().has_value());
 }
@@ -152,12 +155,12 @@ TEST(WriteBatchTest, BatchSurvivesFlushAndCompaction) {
   ASSERT_TRUE(db.ok());
   ElsmDb::WriteBatch batch;
   for (int i = 0; i < 200; ++i) {
-    batch.Put("k" + std::to_string(i), "v" + std::to_string(i));
+    batch.Put(Numbered("k", i), Numbered("v", i));
   }
   ASSERT_TRUE(db.value()->Write(batch).ok());
   ASSERT_TRUE(db.value()->CompactAll().ok());
   for (int i = 0; i < 200; i += 17) {
-    auto got = db.value()->Get("k" + std::to_string(i));
+    auto got = db.value()->Get(Numbered("k", i));
     ASSERT_TRUE(got.ok());
     EXPECT_TRUE(got.value().has_value()) << i;
   }

@@ -11,9 +11,12 @@
 
 #include "common/random.h"
 #include "elsm/elsm_db.h"
+#include "test_strings.h"
 
 namespace elsm {
 namespace {
+
+using test_util::Numbered;
 
 Options FuzzOptions(Mode mode, uint64_t seed) {
   Options o;
@@ -54,7 +57,7 @@ TEST_P(RandomOpsTest, MatchesReferenceModel) {
     const uint64_t which = rng.Uniform(100);
     const std::string key = key_of(rng.Uniform(150));
     if (which < 55) {  // put
-      const std::string value = "v" + std::to_string(op);
+      const std::string value = Numbered("v", op);
       ASSERT_TRUE(db.value()->Put(key, value).ok());
       model[key] = value;
     } else if (which < 65) {  // delete
@@ -123,7 +126,7 @@ TEST(ProtocolInvariants, EarlyStopOmitsDeeperLevels) {
     for (int i = 0; i < 100; ++i) {
       char key[16];
       std::snprintf(key, sizeof(key), "k%05d", i);
-      ASSERT_TRUE(db.value()->Put(key, "gen" + std::to_string(gen)).ok());
+      ASSERT_TRUE(db.value()->Put(key, Numbered("gen", gen)).ok());
     }
     ASSERT_TRUE(gen == 0 ? db.value()->CompactAll().ok()
                          : db.value()->Flush().ok());
@@ -146,7 +149,7 @@ TEST(ProtocolInvariants, TimestampsDecreaseDownTheStack) {
     char key[16];
     std::snprintf(key, sizeof(key), "k%05llu",
                   static_cast<unsigned long long>(rng.Uniform(200)));
-    ASSERT_TRUE(db.value()->Put(key, "v" + std::to_string(op)).ok());
+    ASSERT_TRUE(db.value()->Put(key, Numbered("v", op)).ok());
   }
   ASSERT_TRUE(db.value()->Flush().ok());
 
@@ -182,7 +185,7 @@ TEST(ProtocolInvariants, VerifiedAndUnverifiedAgree) {
     char key[16];
     std::snprintf(key, sizeof(key), "k%05llu",
                   static_cast<unsigned long long>(rng.Uniform(100)));
-    const std::string value = "v" + std::to_string(op);
+    const std::string value = Numbered("v", op);
     ASSERT_TRUE(db1.value()->Put(key, value).ok());
     ASSERT_TRUE(db2.value()->Put(key, value).ok());
   }

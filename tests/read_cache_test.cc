@@ -14,12 +14,14 @@
 #include "elsm/elsm_db.h"
 #include "storage/read_buffer.h"
 #include "storage/simfs.h"
+#include "test_strings.h"
 
 namespace elsm {
 namespace {
 
 using storage::BufferPlacement;
 using storage::ReadBuffer;
+using test_util::Numbered;
 
 std::shared_ptr<sgx::Enclave> MakeEnclave() {
   return std::make_shared<sgx::Enclave>(sgx::CostModel{}, true);
@@ -176,7 +178,7 @@ TEST(ReadCacheConcurrencyTest, ConcurrentMissStressKeepsExactAccounting) {
         auto loader = [size]() -> Result<std::string> {
           return std::string(size, 'm');
         };
-        const std::string name = "f" + std::to_string(file);
+        const std::string name = Numbered("f", file);
         auto r = buffer.Get(name, offset, crypto::kZeroHash, loader);
         ASSERT_TRUE(r.ok());
         if (i % 97 == 0) buffer.Invalidate(name);

@@ -7,9 +7,12 @@
 #include <map>
 
 #include "elsm/elsm_db.h"
+#include "test_strings.h"
 
 namespace elsm {
 namespace {
+
+using test_util::Numbered;
 
 std::string Key(int i) {
   char buf[16];
@@ -36,7 +39,7 @@ TEST_P(ScanSweepTest, AllGridRangesMatchReference) {
   for (int gen = 0; gen < 2; ++gen) {
     for (int i = 0; i < 120; ++i) {
       const std::string key = Key(i * stride);
-      const std::string value = "g" + std::to_string(gen) + "-" + key;
+      const std::string value = Numbered("g", gen) + "-" + key;
       ASSERT_TRUE(db.value()->Put(key, value).ok());
       model[key] = value;
     }
@@ -77,7 +80,7 @@ TEST_P(ScanSweepTest, AllGridRangesMatchReference) {
 
 INSTANTIATE_TEST_SUITE_P(Strides, ScanSweepTest, ::testing::Values(1, 2, 5),
                          [](const auto& info) {
-                           return "Stride" + std::to_string(info.param);
+                           return Numbered("Stride", info.param);
                          });
 
 }  // namespace

@@ -10,9 +10,12 @@
 #include "elsm/elsm_db.h"
 #include "storage/simfs.h"
 #include "temp_dir.h"
+#include "test_strings.h"
 
 namespace elsm {
 namespace {
+
+using test_util::Numbered;
 
 Options SmallOptions() {
   Options o;
@@ -382,7 +385,7 @@ class ManifestLogAdversaryTest : public ::testing::TestWithParam<const char*> {
       for (int i = 0; i < 40; ++i) {
         ASSERT_TRUE(
             db.value()
-                ->Put(Key(round * 40 + i), "v" + std::to_string(round))
+                ->Put(Key(round * 40 + i), Numbered("v", round))
                 .ok());
       }
       ASSERT_TRUE(db.value()->Flush().ok());
@@ -444,7 +447,7 @@ TEST_P(ManifestLogAdversaryTest, HonestLogReplaysExactly) {
       auto got = db.value()->GetVerified(Key(round * 40 + i));
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       ASSERT_TRUE(got.value().record.has_value());
-      EXPECT_EQ(got.value().record->value, "v" + std::to_string(round));
+      EXPECT_EQ(got.value().record->value, Numbered("v", round));
     }
   }
   ASSERT_TRUE(db.value()->Close().ok());
